@@ -1,16 +1,20 @@
 //! Pseudo-code emission for scheduled kernels.
 //!
-//! Renders a [`KernelProgram`] as the Triton-style pseudo-code of the
-//! paper's Figs. 6 and 7 — the parallel block loop, staged loads, the
-//! intra-block loop with running aggregations and update functions, the
-//! post-loop epilogue and the stores. Intended for humans: debugging
-//! schedules, documentation, and golden tests that pin down the shape of
-//! generated code.
+//! Prints a kernel's stored instruction stream
+//! ([`KernelProgram::instrs`]) as the Triton-style pseudo-code of the
+//! paper's Figs. 6 and 7, one line per instruction — the parallel block
+//! loop, loads, the intra-block loop with running aggregations and
+//! update functions, split-K parks and combines, the post-loop epilogue
+//! and the stores. Barriers are implied by the `smem` placements and
+//! not printed. Intended for humans: debugging schedules,
+//! documentation, and golden tests that pin down the shape of generated
+//! code.
 
+use super::instr::{Instr, MemSpace};
 use super::program::KernelProgram;
-use crate::sched::{MemLevel, OpRole};
-use crate::slicer::{AggKind, FactorForm};
-use sf_ir::{OpKind, ValueId, ValueKind};
+use crate::sched::MemLevel;
+use crate::slicer::FactorForm;
+use sf_ir::OpKind;
 use std::fmt::Write as _;
 
 /// Renders the kernel as indented pseudo-code.
@@ -18,165 +22,129 @@ pub fn emit_pseudocode(kp: &KernelProgram) -> String {
     let g = &kp.graph;
     let s = &kp.schedule;
     let mut out = String::new();
-    let name = |v: ValueId| g.value(v).name.clone();
+    let name = |v: sf_ir::ValueId| g.value(v).name.clone();
 
     let _ = writeln!(out, "// kernel {} — grid {} block(s)", kp.name, s.grid());
     let _ = writeln!(out, "parallel_for block in SMG_blocks {{");
-
-    // Staged loads (whole-block lifetime).
-    for (vi, v) in g.values().iter().enumerate() {
-        if matches!(v.kind, ValueKind::Input | ValueKind::Weight) {
-            let varying = s
-                .temporal
-                .as_ref()
-                .map(|t| s.smg.value_has_dim(g, ValueId(vi), t.plan.dim))
-                .unwrap_or(false);
-            if s.mem.staged[vi] && !varying {
-                let _ = writeln!(
-                    out,
-                    "    {} = load_block({})        // smem",
-                    v.name, v.name
-                );
-            } else if !varying {
-                let _ = writeln!(
-                    out,
-                    "    {} = stream({})            // global",
-                    v.name, v.name
-                );
+    let mut depth = 1;
+    let mut folding = false;
+    for ins in &kp.instrs {
+        let pad = "    ".repeat(depth);
+        match ins {
+            Instr::LoadBlock { value, space } => {
+                let n = name(*value);
+                let _ = match space {
+                    MemSpace::Shared => writeln!(out, "{pad}{n} = load_block({n})        // smem"),
+                    _ => writeln!(out, "{pad}{n} = stream({n})            // global"),
+                };
             }
-        }
-    }
-
-    match &s.temporal {
-        None => {
-            for (oi, _) in g.ops().iter().enumerate() {
-                let _ = writeln!(out, "    {}", op_line(kp, oi));
+            Instr::LoadTile { value, space } => {
+                let n = name(*value);
+                let _ = match space {
+                    MemSpace::Shared => writeln!(out, "{pad}{n} = load_tile({n})"),
+                    _ => writeln!(out, "{pad}{n} = stream_tile({n})"),
+                };
             }
-            for &o in g.outputs() {
-                let _ = writeln!(out, "    store({})", name(o));
-            }
-        }
-        Some(t) => {
-            let _ = writeln!(
-                out,
-                "    // intra-block loop over dim {} in tiles of {}",
-                s.smg.dims[t.plan.dim.0].name, t.block
-            );
-            match &t.split {
-                None => {
-                    let _ = writeln!(out, "    for intra_block in Block {{");
-                }
-                Some(sp) => {
+            Instr::Barrier => {}
+            Instr::Compute {
+                op,
+                write: (v, _),
+                accumulate: Some(acc),
+                ..
+            } => {
+                let target = name(*v);
+                let partial = expr(kp, op.0);
+                if acc.update.is_empty() {
+                    let _ = writeln!(out, "{pad}{target} = aggr({target}_old, {partial})");
+                } else {
+                    let upd = acc
+                        .update
+                        .iter()
+                        .map(|f| {
+                            let dep = name(g.ops()[f.dep.0].output);
+                            match f.form {
+                                FactorForm::ExpNeg => format!("exp({dep}_old - {dep})"),
+                                FactorForm::Recip => format!("{dep}_old/{dep}"),
+                                FactorForm::Value => format!("{dep}/{dep}_old"),
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                        .join(" * ");
                     let _ = writeln!(
                         out,
-                        "    // split-K: {} parallel partitions, each owning a contiguous tile range",
-                        sp.partitions
-                    );
-                    let _ = writeln!(
-                        out,
-                        "    parallel_for p: for intra_block in partition(p) {{"
+                        "{pad}{target} = aggr({target}_old * {upd}, {partial})  // UTA"
                     );
                 }
             }
-            for (vi, v) in g.values().iter().enumerate() {
-                let varying = s.smg.value_has_dim(g, ValueId(vi), t.plan.dim);
-                if matches!(v.kind, ValueKind::Input | ValueKind::Weight) && varying {
-                    let _ = writeln!(out, "        {} = load_tile({})", v.name, v.name);
-                }
+            Instr::Compute { op, .. } => {
+                let _ = writeln!(out, "{pad}{}", op_line(kp, op.0));
             }
-            for (oi, op) in g.ops().iter().enumerate() {
-                if !kp.needed_phase1[oi] || kp.roles[oi] == OpRole::PostLoop {
-                    continue;
-                }
-                match kp.roles[oi] {
-                    OpRole::SlicedReduction(idx) => {
-                        let target = name(op.output);
-                        match &t.plan.sliced[idx].agg {
-                            AggKind::Simple => {
-                                let _ = writeln!(
-                                    out,
-                                    "        {target} = aggr({target}_old, {})",
-                                    partial_expr(kp, oi)
-                                );
-                            }
-                            AggKind::Uta(factors) => {
-                                let upd = factors
-                                    .iter()
-                                    .map(|f| {
-                                        let dep = name(g.ops()[f.dep.0].output);
-                                        match f.form {
-                                            FactorForm::ExpNeg => {
-                                                format!("exp({dep}_old - {dep})")
-                                            }
-                                            FactorForm::Recip => format!("{dep}_old/{dep}"),
-                                            FactorForm::Value => format!("{dep}/{dep}_old"),
-                                        }
-                                    })
-                                    .collect::<Vec<_>>()
-                                    .join(" * ");
-                                let _ = writeln!(
-                                    out,
-                                    "        {target} = aggr({target}_old * {upd}, {})  // UTA",
-                                    partial_expr(kp, oi)
-                                );
-                            }
+            Instr::LoopBegin { phase: 1 } => {
+                if let Some(t) = &s.temporal {
+                    let _ = writeln!(
+                        out,
+                        "{pad}// intra-block loop over dim {} in tiles of {}",
+                        s.smg.dims[t.plan.dim.0].name, t.block
+                    );
+                    match &t.split {
+                        None => {
+                            let _ = writeln!(out, "{pad}for intra_block in Block {{");
+                        }
+                        Some(sp) => {
+                            let _ = writeln!(
+                                out,
+                                "{pad}// split-K: {} parallel partitions, each owning a contiguous tile range",
+                                sp.partitions
+                            );
+                            let _ = writeln!(
+                                out,
+                                "{pad}parallel_for p: for intra_block in partition(p) {{"
+                            );
                         }
                     }
-                    _ => {
-                        let _ = writeln!(out, "        {}", op_line(kp, oi));
-                    }
                 }
+                depth += 1;
             }
-            let _ = writeln!(out, "    }}");
-
-            if let Some(sp) = &t.split {
-                for r in &t.plan.sliced {
-                    let _ = writeln!(
-                        out,
-                        "    park_partial({})   // one state per partition",
-                        name(g.ops()[r.op.0].output)
-                    );
-                }
+            Instr::LoopBegin { .. } => {
+                let _ = writeln!(out, "{pad}for intra_block in Block {{  // phase 2");
+                depth += 1;
+            }
+            Instr::LoopEnd { .. } => {
+                depth -= 1;
+                let _ = writeln!(out, "{}}}", "    ".repeat(depth));
+            }
+            Instr::Store { value, .. } if depth > 1 => {
+                let _ = writeln!(out, "{pad}store_tile({})", name(*value));
+            }
+            Instr::Store { value, .. } => {
+                let _ = writeln!(out, "{pad}store({})", name(*value));
+            }
+            Instr::StorePartial { value, .. } => {
                 let _ = writeln!(
                     out,
-                    "    // combine dispatch: fold {} partials in partition order",
-                    sp.partitions
+                    "{pad}park_partial({})   // one state per partition",
+                    name(*value)
                 );
-                for (r, spec) in t.plan.sliced.iter().zip(&sp.combine) {
-                    let target = name(g.ops()[r.op.0].output);
-                    let rescaled = if spec.rescale { ", rescaled" } else { "" };
+            }
+            Instr::Combine {
+                op,
+                partitions,
+                combine,
+                rescaled,
+            } => {
+                if !std::mem::replace(&mut folding, true) {
                     let _ = writeln!(
                         out,
-                        "    {target} = combine_{}({target}[0..{}]{rescaled})",
-                        spec.op.name(),
-                        sp.partitions
+                        "{pad}// combine dispatch: fold {partitions} partials in partition order"
                     );
                 }
-            }
-
-            for (oi, _) in g.ops().iter().enumerate() {
-                if kp.roles[oi] == OpRole::PostLoop {
-                    let _ = writeln!(out, "    {}", op_line(kp, oi));
-                }
-            }
-            if t.plan.two_phase {
-                let _ = writeln!(out, "    for intra_block in Block {{  // phase 2");
-                for (oi, _) in g.ops().iter().enumerate() {
-                    if kp.roles[oi] == OpRole::InLoop && kp.needed_output[oi] {
-                        let _ = writeln!(out, "        {}", op_line(kp, oi));
-                    }
-                }
-                for &o in g.outputs() {
-                    if s.smg.value_has_dim(g, o, t.plan.dim) {
-                        let _ = writeln!(out, "        store_tile({})", name(o));
-                    }
-                }
-                let _ = writeln!(out, "    }}");
-            }
-            for &o in g.outputs() {
-                if !s.smg.value_has_dim(g, o, t.plan.dim) {
-                    let _ = writeln!(out, "    store({})", name(o));
-                }
+                let target = name(g.ops()[op.0].output);
+                let rescaled = if *rescaled { ", rescaled" } else { "" };
+                let _ = writeln!(
+                    out,
+                    "{pad}{target} = combine_{}({target}[0..{partitions}]{rescaled})",
+                    combine.name()
+                );
             }
         }
     }
@@ -213,140 +181,5 @@ fn expr(kp: &KernelProgram, oi: usize) -> String {
         OpKind::Reduce { op: r, dim } => format!("{}({}, dim={dim})", r.name(), a(0)),
         OpKind::Broadcast { dim, .. } => format!("broadcast({}, dim={dim})", a(0)),
         OpKind::LayoutBarrier => format!("reshape({})", a(0)),
-    }
-}
-
-fn partial_expr(kp: &KernelProgram, oi: usize) -> String {
-    expr(kp, oi)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compiler::{Compiler, FusionPolicy};
-    use sf_gpu_sim::Arch;
-    use sf_ir::Graph;
-    use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
-    use sf_tensor::{DType, Shape};
-
-    fn mha(l: usize) -> Graph {
-        let mut g = Graph::new("mha", DType::F16);
-        let q = g.input("Q", Shape::new(vec![256, 64]));
-        let k = g.input("K", Shape::new(vec![l, 64]));
-        let v = g.input("V", Shape::new(vec![l, 64]));
-        let qk = g.gemm(q, k, true).unwrap();
-        g.rename_value(qk, "QK");
-        let mx = g.reduce(ReduceOp::Max, qk, 1).unwrap();
-        g.rename_value(mx, "Max");
-        let sub = g.binary(BinaryOp::Sub, qk, mx).unwrap();
-        g.rename_value(sub, "Sub");
-        let e = g.unary(UnaryOp::Exp, sub).unwrap();
-        g.rename_value(e, "Exp");
-        let s = g.reduce(ReduceOp::Sum, e, 1).unwrap();
-        g.rename_value(s, "Sum");
-        let d = g.binary(BinaryOp::Div, e, s).unwrap();
-        g.rename_value(d, "Div");
-        let out = g.gemm(d, v, false).unwrap();
-        g.rename_value(out, "Out");
-        g.mark_output(out);
-        g
-    }
-
-    #[test]
-    fn mha_pseudocode_matches_figure_7_structure() {
-        let g = mha(8192);
-        // Pin the paper's serial Fig. 7 rendering: split-K would
-        // legitimately partition this deep-KV loop, which the split
-        // pseudo-code test covers instead.
-        let mut opts = crate::compiler::CompileOptions::default();
-        opts.slicing.enable_split = false;
-        let p = Compiler::new(Arch::Volta, opts).compile(&g).unwrap();
-        let code = emit_pseudocode(&p.kernels[0]);
-        // The paper's Fig. 7 structure: parallel blocks, an intra-block
-        // loop, UTA update functions for Sum and Out.
-        assert!(code.contains("parallel_for block"));
-        assert!(code.contains("for intra_block in Block"));
-        assert!(code.contains("Max = aggr(Max_old, max(QK"));
-        assert!(code.contains("Sum = aggr(Sum_old * exp(Max_old - Max)"));
-        assert!(code.contains("Out = aggr(Out_old * exp(Max_old - Max) * Sum_old/Sum"));
-        assert!(code.contains("store(Out)"));
-    }
-
-    #[test]
-    fn flat_kernel_pseudocode_has_no_loop() {
-        let g = mha(64);
-        let p = Compiler::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion)
-            .compile(&g)
-            .unwrap();
-        let kp = &p.kernels[0];
-        if kp.schedule.temporal.is_none() {
-            let code = emit_pseudocode(kp);
-            assert!(!code.contains("intra_block"));
-            assert!(code.contains("gemm(Q, K)"));
-        }
-    }
-
-    #[test]
-    fn split_pseudocode_shows_partitions_and_combine_fold() {
-        // Decode shape: one query row, deep KV — the tuner picks split-K.
-        let mut g = Graph::new("decode", DType::F16);
-        let q = g.input("Q", Shape::new(vec![1, 32]));
-        let k = g.input("K", Shape::new(vec![1024, 32]));
-        let v = g.input("V", Shape::new(vec![1024, 32]));
-        let qk = g.gemm(q, k, true).unwrap();
-        let mx = g.reduce(ReduceOp::Max, qk, 1).unwrap();
-        g.rename_value(mx, "Max");
-        let sub = g.binary(BinaryOp::Sub, qk, mx).unwrap();
-        let e = g.unary(UnaryOp::Exp, sub).unwrap();
-        let s = g.reduce(ReduceOp::Sum, e, 1).unwrap();
-        g.rename_value(s, "Sum");
-        let d = g.binary(BinaryOp::Div, e, s).unwrap();
-        let out = g.gemm(d, v, false).unwrap();
-        g.rename_value(out, "Out");
-        g.mark_output(out);
-        let p = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
-            .compile(&g)
-            .unwrap();
-        let kp = &p.kernels[0];
-        let parts = kp
-            .schedule
-            .temporal
-            .as_ref()
-            .and_then(|t| t.split.as_ref())
-            .map(|sp| sp.partitions)
-            .expect("decode shape must split");
-        let code = emit_pseudocode(kp);
-        assert!(code.contains(&format!("split-K: {parts} parallel partitions")));
-        assert!(code.contains("parallel_for p: for intra_block in partition(p)"));
-        assert!(code.contains("park_partial(Max)"));
-        // Simple max fold for the running max; rescaled adds for the
-        // UTA sum and output (the FlashDecoding fixup).
-        assert!(code.contains(&format!("Max = combine_max(Max[0..{parts}])")));
-        assert!(code.contains(&format!("Sum = combine_add(Sum[0..{parts}], rescaled)")));
-        assert!(code.contains(&format!("Out = combine_add(Out[0..{parts}], rescaled)")));
-    }
-
-    #[test]
-    fn two_phase_pseudocode_shows_second_pass() {
-        let mut g = Graph::new("softmax", DType::F16);
-        let x = g.input("X", Shape::new(vec![64, 65536]));
-        let mx = g.reduce(ReduceOp::Max, x, 1).unwrap();
-        let s = g.binary(BinaryOp::Sub, x, mx).unwrap();
-        let e = g.unary(UnaryOp::Exp, s).unwrap();
-        let z = g.reduce(ReduceOp::Sum, e, 1).unwrap();
-        let d = g.binary(BinaryOp::Div, e, z).unwrap();
-        g.mark_output(d);
-        let p = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
-            .compile(&g)
-            .unwrap();
-        let kp = &p.kernels[0];
-        assert!(kp
-            .schedule
-            .temporal
-            .as_ref()
-            .is_some_and(|t| t.plan.two_phase));
-        let code = emit_pseudocode(kp);
-        assert!(code.contains("phase 2"));
-        assert!(code.contains("store_tile"));
     }
 }

@@ -1,19 +1,22 @@
 //! Kernel code generation (the paper's Triton-backend substitute).
 //!
-//! A scheduled SMG lowers to a [`KernelProgram`]: the fused subgraph plus
-//! its concrete [`crate::sched::FusedSchedule`] and derived operator
-//! roles. Two consumers interpret the same program:
+//! A scheduled SMG lowers to a [`KernelProgram`]: the fused subgraph,
+//! its concrete [`crate::sched::FusedSchedule`], and the one lowered
+//! [`Instr`] stream ([`instr`]) describing the kernel's loop structure —
+//! loads, computes with their running aggregations, the intra-block
+//! loops, split-K parks and combines, stores. The stream is built once
+//! at construction and every consumer walks it:
 //!
-//! * [`exec`] executes it numerically over real tensors, block by block
-//!   and intra-block by intra-block, including the running aggregations
-//!   with Simple Aggregate / Update-then-Aggregate — this is how the test
-//!   suite proves that every generated schedule (including the derived
-//!   FlashAttention-style online softmax) is exactly equivalent to the
-//!   unfused reference;
-//! * [`trace`] replays the program's global-memory access stream into the
-//!   `sf-gpu-sim` profiler for the detailed cache/DRAM measurements, and
-//!   provides the cheap analytic cost estimate used inside the
-//!   auto-tuner.
+//! * [`exec`] runs it numerically over real tensors (this is how the
+//!   test suite proves that every generated schedule, including the
+//!   derived FlashAttention-style online softmax, is equivalent to the
+//!   unfused reference) on the [`engine`]'s worker pool;
+//! * [`trace`] replays it into the `sf-gpu-sim` profiler for the
+//!   detailed cache/DRAM measurements, and prices it in closed form for
+//!   the auto-tuner;
+//! * [`emit`] prints it as pseudo-code;
+//! * the verifier ([`crate::verify`]) proves it race- and barrier-free,
+//!   so the proofs cover exactly what executes.
 
 pub mod emit;
 pub mod engine;
@@ -24,7 +27,9 @@ pub mod trace;
 
 pub use emit::emit_pseudocode;
 pub use engine::{serial_cutoff, ExecEngine, WorkerPool, MIN_PARALLEL_WORK};
-pub use exec::{execute_kernel, execute_kernel_faulted, execute_kernel_with, ExecOptions};
-pub use instr::{lower_instructions, store_region, AxisWrite, Instr, MemSpace};
+pub use exec::ExecOptions;
+pub use instr::{
+    lower_instructions, store_region, value_ranges, Accumulate, AxisWrite, Instr, MemSpace,
+};
 pub use program::KernelProgram;
 pub use trace::{estimate_accumulate_cost, estimate_cost, trace_kernel};

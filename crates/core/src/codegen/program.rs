@@ -1,10 +1,11 @@
 //! The lowered kernel representation.
 
+use super::instr::{lower_instructions, Instr};
 use crate::sched::{op_roles, FusedSchedule, OpRole};
 use crate::verify::races::{prove_disjoint, DisjointProof};
-use sf_ir::{Graph, ValueId};
+use sf_ir::Graph;
 
-/// A fused kernel: graph + schedule + derived execution metadata.
+/// A fused kernel: graph + schedule + its lowered instruction stream.
 #[derive(Debug, Clone)]
 pub struct KernelProgram {
     /// Kernel name (for reports).
@@ -17,14 +18,16 @@ pub struct KernelProgram {
     pub schedule: FusedSchedule,
     /// Role of each operator under the schedule.
     pub roles: Vec<OpRole>,
-    /// Ops transitively needed by the sliced reductions (phase-1 work).
-    pub needed_phase1: Vec<bool>,
-    /// Ops transitively needed by the kernel outputs.
-    pub needed_output: Vec<bool>,
+    /// The lowered instruction stream ([`super::instr`]), built once at
+    /// construction. The interpreter, the profiler replay, the cost
+    /// model, the pseudo-code printer and the verifier all read it, so
+    /// what the proofs cover is exactly what executes.
+    pub instrs: Vec<Instr>,
     /// Verdict of the static disjoint-write prover
-    /// ([`crate::verify::races`]): only `Proven` kernels may take the
-    /// lock-free parallel executor path. Computed at construction so the
-    /// gate holds even when the verifier pass is off (release builds).
+    /// ([`crate::verify::races`]) over `instrs`: only `Proven` kernels
+    /// may take the lock-free parallel executor path. Computed at
+    /// construction so the gate holds even when the verifier pass is
+    /// off (release builds).
     pub disjoint: DisjointProof,
 }
 
@@ -32,23 +35,15 @@ impl KernelProgram {
     /// Lowers a scheduled graph into a kernel program.
     pub fn new(name: impl Into<String>, graph: Graph, schedule: FusedSchedule) -> Self {
         let roles = op_roles(&graph, &schedule);
-        let reduction_outputs: Vec<ValueId> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, OpRole::SlicedReduction(_)))
-            .map(|(i, _)| graph.ops()[i].output)
-            .collect();
-        let needed_phase1 = needed_by(&graph, &reduction_outputs);
-        let needed_output = needed_by(&graph, graph.outputs());
         let mut kp = KernelProgram {
             name: name.into(),
             graph,
             schedule,
             roles,
-            needed_phase1,
-            needed_output,
+            instrs: Vec::new(),
             disjoint: DisjointProof::Proven,
         };
+        kp.instrs = lower_instructions(&kp);
         kp.disjoint = prove_disjoint(&kp);
         kp
     }
@@ -57,24 +52,6 @@ impl KernelProgram {
     pub fn is_fused(&self) -> bool {
         self.graph.ops().len() > 1
     }
-}
-
-/// Ops transitively needed to compute the given values.
-fn needed_by(graph: &Graph, targets: &[ValueId]) -> Vec<bool> {
-    let mut needed_vals = vec![false; graph.values().len()];
-    for &t in targets {
-        needed_vals[t.0] = true;
-    }
-    let mut needed_ops = vec![false; graph.ops().len()];
-    for (oi, op) in graph.ops().iter().enumerate().rev() {
-        if needed_vals[op.output.0] {
-            needed_ops[oi] = true;
-            for &i in &op.inputs {
-                needed_vals[i.0] = true;
-            }
-        }
-    }
-    needed_ops
 }
 
 #[cfg(test)]
@@ -117,10 +94,25 @@ mod tests {
                 mem,
             },
         );
-        // Phase 1 needs max, sub, exp, sum but not div.
-        assert_eq!(kp.needed_phase1, vec![true, true, true, true, false]);
-        // Output needs everything.
-        assert!(kp.needed_output.iter().all(|&b| b));
+        let computed = |phase: u8| -> Vec<usize> {
+            let begin = kp
+                .instrs
+                .iter()
+                .position(|i| *i == Instr::LoopBegin { phase })
+                .unwrap();
+            let end = crate::codegen::instr::loop_end(&kp.instrs, begin).unwrap();
+            kp.instrs[begin..end]
+                .iter()
+                .filter_map(|i| match i {
+                    Instr::Compute { op, .. } => Some(op.0),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Phase 1 needs max, sub, exp, sum but not div; phase 2 re-streams
+        // sub, exp and the output div.
+        assert_eq!(computed(1), vec![0, 1, 2, 3]);
+        assert_eq!(computed(2), vec![1, 2, 4]);
         assert!(kp.is_fused());
     }
 }

@@ -27,7 +27,7 @@ use crate::sched::{
 };
 use crate::slicer::{eligible_spatial_dims, pick_temporal_dim, plan_temporal};
 use crate::smg::{build_smg, Smg};
-use crate::tune::tune_bounded;
+use crate::tune::Tuner;
 use sf_gpu_sim::GpuArch;
 use sf_ir::{analysis, segment, Graph, OpKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -741,42 +741,14 @@ impl Scheduler<'_, '_> {
         let schedules = schedules?;
         stats.configs += schedules.len();
 
-        let candidates: Vec<KernelProgram> = schedules
-            .into_iter()
-            .map(|s| KernelProgram::new(g.name().to_string(), g.clone(), s))
-            .collect();
-
+        // Candidates are lowered (and their writes proven) one at a time
+        // and dropped once measured unless they lead: every candidate
+        // carries its instruction stream, and holding a whole search
+        // space of them costs memory and allocator time.
+        let total = schedules.len();
+        let lower = |s| KernelProgram::new(g.name().to_string(), g.clone(), s);
         let t = Instant::now();
-        let pick = if opts.autotune {
-            let r = tune_bounded(
-                &candidates,
-                self.ctx.arch,
-                g.instances as u64,
-                opts.alpha,
-                self.ctx.deadline,
-            )
-            .ok_or_else(|| {
-                SfError::ResourceInfeasible(format!("no schedule candidates to tune for '{name}'"))
-            })?;
-            stats.evaluated += r.evaluated;
-            stats.pruned += r.pruned;
-            let tune_us = t.elapsed().as_secs_f64() * 1e6;
-            stats.tune_us += tune_us;
-            self.emit(
-                PassId::Tune,
-                name,
-                tune_us,
-                EventDetail::Tune {
-                    evaluated: r.evaluated,
-                    pruned: r.pruned,
-                    best_us: r.best_us,
-                },
-            );
-            r.best
-        } else {
-            let last = candidates.len().checked_sub(1).ok_or_else(|| {
-                SfError::ResourceInfeasible(format!("no feasible schedule candidates for '{name}'"))
-            })?;
+        if !opts.autotune {
             let tune_us = t.elapsed().as_secs_f64() * 1e6;
             stats.tune_us += tune_us;
             self.emit(
@@ -789,13 +761,47 @@ impl Scheduler<'_, '_> {
                     best_us: f64::NAN,
                 },
             );
-            last
-        };
-
-        candidates
-            .into_iter()
-            .nth(pick)
-            .ok_or_else(|| SfError::Codegen(format!("tuner pick out of range for '{name}'")))
+            return schedules.into_iter().last().map(lower).ok_or_else(|| {
+                SfError::ResourceInfeasible(format!("no feasible schedule candidates for '{name}'"))
+            });
+        }
+        let mut tuner = Tuner::new(
+            self.ctx.arch,
+            g.instances as u64,
+            opts.alpha,
+            self.ctx.deadline,
+            total,
+        );
+        let mut best = None;
+        for s in schedules {
+            if tuner.timed_out() {
+                break;
+            }
+            let i = tuner.seen();
+            let kp = lower(s);
+            tuner.measure(std::slice::from_ref(&kp));
+            if tuner.best() == i {
+                best = Some(kp);
+            }
+        }
+        let r = tuner.finish().ok_or_else(|| {
+            SfError::ResourceInfeasible(format!("no schedule candidates to tune for '{name}'"))
+        })?;
+        stats.evaluated += r.evaluated;
+        stats.pruned += r.pruned;
+        let tune_us = t.elapsed().as_secs_f64() * 1e6;
+        stats.tune_us += tune_us;
+        self.emit(
+            PassId::Tune,
+            name,
+            tune_us,
+            EventDetail::Tune {
+                evaluated: r.evaluated,
+                pruned: r.pruned,
+                best_us: r.best_us,
+            },
+        );
+        best.ok_or_else(|| SfError::Codegen(format!("tuner pick out of range for '{name}'")))
     }
 
     /// Rebuilds kernels for a graph whose shape was already scheduled.

@@ -47,28 +47,36 @@ pub fn derive_combine(graph: &Graph, plan: &TemporalPlan) -> Option<Vec<CombineS
     plan.sliced
         .iter()
         .map(|s| {
-            let rescale = matches!(s.agg, AggKind::Uta(_));
-            let op = match &graph.ops()[s.op.0].kind {
-                // Max partials fold with max; Sum partials add. Mean
-                // accumulates raw sums in the loop (the interpreter
-                // divides by the extent once, after the loop), so its
-                // partials also add.
-                OpKind::Reduce {
-                    op: ReduceOp::Max, ..
-                } => BinaryOp::Max,
-                OpKind::Reduce {
-                    op: ReduceOp::Sum | ReduceOp::Mean,
-                    ..
-                } => BinaryOp::Add,
-                // A K-sliced GEMM accumulates partial dot products.
-                OpKind::Gemm { .. } => BinaryOp::Add,
-                // Anything else sliced along the temporal dim has no
-                // known partial-state algebra.
-                _ => return None,
-            };
-            Some(CombineSpec { op, rescale })
+            Some(CombineSpec {
+                op: merge_op(&graph.ops()[s.op.0].kind)?,
+                rescale: matches!(s.agg, AggKind::Uta(_)),
+            })
         })
         .collect()
+}
+
+/// The associative merge of two partial states of a sliced reduction of
+/// kind `kind` — shared by the running aggregation of the serial tile
+/// loop and the split-K combine. `None` when the op has no known
+/// partial-state algebra.
+pub fn merge_op(kind: &OpKind) -> Option<BinaryOp> {
+    match kind {
+        // Max partials fold with max; Sum partials add. Mean accumulates
+        // raw sums in the loop (finalized by one division after it), so
+        // its partials also add.
+        OpKind::Reduce {
+            op: ReduceOp::Max, ..
+        } => Some(BinaryOp::Max),
+        OpKind::Reduce {
+            op: ReduceOp::Sum | ReduceOp::Mean,
+            ..
+        } => Some(BinaryOp::Add),
+        // A K-sliced GEMM accumulates partial dot products.
+        OpKind::Gemm { .. } => Some(BinaryOp::Add),
+        // Anything else sliced along the temporal dim has no known
+        // partial-state algebra.
+        _ => None,
+    }
 }
 
 #[cfg(test)]

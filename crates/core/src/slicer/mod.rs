@@ -21,7 +21,7 @@ pub mod spatial;
 pub mod temporal;
 pub mod update;
 
-pub use combine::{derive_combine, CombineSpec};
+pub use combine::{derive_combine, merge_op, CombineSpec};
 pub use spatial::eligible_spatial_dims;
 pub use temporal::{pick_temporal_dim, plan_temporal, AggKind, SlicedReduction, TemporalPlan};
 pub use update::{FactorForm, UpdateFactor};

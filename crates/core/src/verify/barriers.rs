@@ -1,11 +1,13 @@
 //! Barrier/race and bounds analysis (`MEM302`, `BAR401`, `BND402`).
 //!
-//! [`check_instructions`] walks the lowered instruction stream
-//! ([`crate::codegen::lower_instructions`]) with two abstract states:
+//! [`check_instructions`] walks a kernel's stored instruction stream
+//! ([`crate::codegen::KernelProgram::instrs`], the one the interpreter
+//! executes) with two abstract states:
 //!
 //! * a **placement set** per value — which memory tiers it has been
-//!   written to so far (kernel inputs start in global memory, loads add
-//!   shared, computes add their write tier). A read from a tier absent
+//!   written to so far (kernel inputs start in global memory, staged
+//!   loads add shared — streamed loads read global in place — and
+//!   computes add their write tier). A read from a tier absent
 //!   from the set is `MEM302`: the generated kernel would read garbage.
 //! * a **dirty set** of shared buffers written since the last barrier.
 //!   Shared stores are cooperative — the element a thread reads may
@@ -115,7 +117,16 @@ pub fn check_instructions(kp: &KernelProgram, instrs: &[Instr]) -> Vec<Diagnosti
 
     for (i, ins) in instrs.iter().enumerate() {
         match ins {
-            Instr::LoadBlock { value } | Instr::LoadTile { value } => {
+            // Only staged (shared) loads are placements and shared writes;
+            // a streamed load reads global memory in place.
+            Instr::LoadBlock {
+                value,
+                space: MemSpace::Shared,
+            }
+            | Instr::LoadTile {
+                value,
+                space: MemSpace::Shared,
+            } => {
                 if value.0 < n {
                     placed[value.0] |= PLACED_SHARED;
                     dirty.insert(*value);
@@ -146,7 +157,10 @@ pub fn check_instructions(kp: &KernelProgram, instrs: &[Instr]) -> Vec<Diagnosti
                 }
                 dirty.clear();
             }
-            Instr::Compute { op, reads, write } => {
+            Instr::LoadBlock { .. } | Instr::LoadTile { .. } => {}
+            Instr::Compute {
+                op, reads, write, ..
+            } => {
                 for &(v, space) in reads {
                     if v.0 >= n {
                         continue;

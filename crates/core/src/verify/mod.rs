@@ -23,8 +23,9 @@
 //!   per SM, and the §5.4 rule that cross-thread values (One-to-All
 //!   sources, All-to-One sinks) never live in thread-private registers.
 //! * **Barrier/race and bounds analysis** ([`barriers`], `MEM302`,
-//!   `BAR401`, `BND402`) — a dirty-set scan over the lowered
-//!   instruction stream ([`crate::codegen::lower_instructions`])
+//!   `BAR401`, `BND402`) — a dirty-set scan over the kernel's stored
+//!   instruction stream ([`crate::codegen::KernelProgram::instrs`], the
+//!   one the interpreter executes)
 //!   flagging shared-buffer reads that can observe another thread's
 //!   write without an intervening barrier, reads from a memory tier the
 //!   value was never placed in, and out-of-bounds tile restrictions.
@@ -53,7 +54,7 @@ pub use resources::check_resources;
 pub use slicing::{check_partial_aggregate, check_slicing};
 pub use structural::check_smg;
 
-use crate::codegen::{lower_instructions, KernelProgram};
+use crate::codegen::KernelProgram;
 use crate::smg::{DimId, SpaceId};
 use sf_gpu_sim::GpuArch;
 use sf_ir::{OpId, ValueId};
@@ -384,10 +385,9 @@ pub fn verify_kernel(kp: &KernelProgram, arch: &GpuArch) -> Vec<Diagnostic> {
     }
     diags.extend(slicing::check_slicing(kp));
     diags.extend(resources::check_resources(kp, arch));
-    let instrs = lower_instructions(kp);
-    diags.extend(barriers::check_instructions(kp, &instrs));
-    diags.extend(slicing::check_partial_aggregate(kp, &instrs));
-    diags.extend(races::check_races(kp, &instrs));
+    diags.extend(barriers::check_instructions(kp, &kp.instrs));
+    diags.extend(slicing::check_partial_aggregate(kp, &kp.instrs));
+    diags.extend(races::check_races(kp, &kp.instrs));
     diags
 }
 

@@ -52,7 +52,7 @@
 //! verifier is off).
 
 use super::{DiagCode, Diagnostic, Span};
-use crate::codegen::{lower_instructions, AxisWrite, Instr, KernelProgram, MemSpace};
+use crate::codegen::{AxisWrite, Instr, KernelProgram, MemSpace};
 use crate::smg::DimId;
 use sf_ir::ValueId;
 use std::collections::BTreeMap;
@@ -85,13 +85,13 @@ impl DisjointProof {
 
 /// Proves (or fails to prove) pairwise-disjoint block writes for `kp`.
 ///
-/// Runs the full RACE analysis over the lowered stream and condenses it
-/// into the executor-facing verdict. Unlike the verifier this runs
+/// Runs the full RACE analysis over the kernel's stored stream — the
+/// one the interpreter executes — and condenses it into the
+/// executor-facing verdict. Unlike the verifier this runs
 /// unconditionally — release builds with `verify: false` still refuse
 /// the lock-free path for unproven kernels.
 pub fn prove_disjoint(kp: &KernelProgram) -> DisjointProof {
-    let instrs = lower_instructions(kp);
-    match check_races(kp, &instrs).into_iter().next() {
+    match check_races(kp, &kp.instrs).into_iter().next() {
         None => DisjointProof::Proven,
         Some(d) => DisjointProof::Unproven(format!("{}: {}", d.code, d.message)),
     }
@@ -207,7 +207,7 @@ pub fn check_races(kp: &KernelProgram, instrs: &[Instr]) -> Vec<Diagnostic> {
                 }
                 check_store_footprint(kp, idx, *value, region, t_dim, &required, &mut diags);
             }
-            Instr::LoadBlock { value } | Instr::LoadTile { value } => {
+            Instr::LoadBlock { value, .. } | Instr::LoadTile { value, .. } => {
                 if let Some(&first) = stored.get(value) {
                     diags.push(Diagnostic::new(
                         DiagCode::RaceReadAfterParallelWrite,
@@ -375,6 +375,7 @@ fn check_store_footprint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::lower_instructions;
     use crate::compiler::{Compiler, FusionPolicy};
     use sf_gpu_sim::Arch;
     use sf_ir::Graph;

@@ -18,7 +18,20 @@ use spacefusion::pipeline::CompileSession;
 use spacefusion::resilience::{silence_injected_panics, FaultKind, FaultPlan, FaultStage, Rung};
 use spacefusion::FaultInjector;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The allocation counters are process-wide. Tests that measure them
+/// hold this lock exclusively and every other test here shares it, so
+/// no concurrently running test allocates during a measurement.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn shares_counters() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn measures_counters() -> RwLockWriteGuard<'static, ()> {
+    COUNTERS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Small-size zoo instances: every subgraph family from Fig. 10.
 fn zoo() -> Vec<Graph> {
@@ -46,6 +59,7 @@ const ARCHS: [Arch; 3] = [Arch::Volta, Arch::Ampere, Arch::Hopper];
 
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
+    let _counters = shares_counters();
     for graph in zoo() {
         let bindings = graph.random_bindings(7);
         for arch in ARCHS {
@@ -84,6 +98,7 @@ fn parallel_execution_is_bit_identical_to_serial() {
 /// attention subgraph.
 #[test]
 fn attention_allocations_reduced_by_scratch_reuse() {
+    let _counters = measures_counters();
     let graph = subgraphs::mha(1, 4, 64, 32);
     let bindings = graph.random_bindings(11);
     let program = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
@@ -159,6 +174,7 @@ fn assert_outputs_bitwise(label: &str, got: &[Tensor], want: &[Tensor]) {
 /// reference.
 #[test]
 fn engine_reuse_stays_bit_identical_over_hundreds_of_runs() {
+    let _counters = shares_counters();
     let graph = subgraphs::masked_mha(1, 2, 32, 16);
     let engine = Arc::new(ExecEngine::new());
     let program = compile_on(&graph, &engine, FusionPolicy::SpaceFusion);
@@ -203,6 +219,7 @@ fn engine_reuse_stays_bit_identical_over_hundreds_of_runs() {
 /// afterwards without respawning threads.
 #[test]
 fn pool_survives_worker_crash_and_keeps_executing() {
+    let _counters = shares_counters();
     silence_injected_panics();
     // Large enough to clear the serial cutoff so the crash happens on a
     // real pool worker, not the inline serial path.
@@ -257,6 +274,7 @@ fn pool_survives_worker_crash_and_keeps_executing() {
 /// threads, so buffers survive between calls).
 #[test]
 fn warm_engine_reuses_at_least_90_percent_of_scratch() {
+    let _counters = measures_counters();
     let graph = subgraphs::mha(1, 4, 64, 32);
     let engine = Arc::new(ExecEngine::new());
     let program = compile_on(&graph, &engine, FusionPolicy::SpaceFusion);
@@ -293,6 +311,7 @@ fn warm_engine_reuses_at_least_90_percent_of_scratch() {
 /// the pool even at high thread counts, while large kernels dispatch.
 #[test]
 fn tiny_kernels_run_serially_large_kernels_dispatch() {
+    let _counters = shares_counters();
     let engine = Arc::new(ExecEngine::new());
 
     // mha_decode: one query row — far below the cutoff.

@@ -284,7 +284,8 @@ fn mutate_tiled(instrs: &mut [Instr], f: impl Fn(&mut usize, &mut usize, &mut us
 }
 
 /// The MHA kernel with a 4-way split-K partitioning of its tile loop
-/// (combine algebra derived from the graph, as the slicer would).
+/// (combine algebra derived from the graph, as the slicer would),
+/// re-lowered so its stored stream matches the split schedule.
 fn split_mha_kernel() -> (KernelProgram, GpuArch) {
     let (mut kp, arch) = mha_kernel();
     let t = kp.schedule.temporal.as_mut().unwrap();
@@ -293,7 +294,7 @@ fn split_mha_kernel() -> (KernelProgram, GpuArch) {
         partitions: 4,
         combine,
     });
-    (kp, arch)
+    (KernelProgram::new(kp.name, kp.graph, kp.schedule), arch)
 }
 
 #[test]
@@ -414,6 +415,7 @@ fn slc104_schedule_combine_drift_is_caught_end_to_end() {
     } else {
         BinaryOp::Add
     };
+    let kp = KernelProgram::new(kp.name, kp.graph, kp.schedule);
     assert_flags(&kp, &arch, DiagCode::SlcPartialAggregate);
 }
 
@@ -468,7 +470,10 @@ fn race504_readback_of_a_parallel_written_output() {
     // No grid-wide barrier exists: other blocks' stores are not yet
     // visible, so loading a stored output back is a read of in-flight
     // parallel writes.
-    instrs.push(Instr::LoadBlock { value: v });
+    instrs.push(Instr::LoadBlock {
+        value: v,
+        space: MemSpace::Shared,
+    });
     assert_race(&kp, &instrs, DiagCode::RaceReadAfterParallelWrite);
 }
 

@@ -13,7 +13,7 @@
 //! [`pool_hits`] (a `take` served from recycled storage) and
 //! [`pool_misses`] (a `take` that had to allocate). Because the
 //! execution engine's worker pools now persist across
-//! `execute_kernel_with` calls, the hit ratio measures *cross-call*
+//! `ExecEngine::execute_kernel` calls, the hit ratio measures *cross-call*
 //! scratch reuse: after a warm-up execution, repeated executions should
 //! serve ≥90% of takes from recycled buffers.
 //!

@@ -16,6 +16,12 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test -q --release --manifest-path perfbench/Cargo.toml"
+# perfbench is its own workspace (path deps on crates/*), so the
+# workspace build above never compiles it; this keeps the benchmark
+# building and its unit tests green against the current public API.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
