@@ -26,7 +26,11 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Duration {
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    let mean = t.elapsed() / iters;
+    // Round the mean up to whole nanoseconds: a body faster than 1 ns
+    // per iteration would otherwise truncate to a `0 ns` mean.
+    let mean = Duration::from_nanos(
+        u64::try_from(t.elapsed().as_nanos().div_ceil(u128::from(iters))).unwrap_or(u64::MAX),
+    );
     println!(
         "{name:<40} {:>12} /iter   ({iters} iters)",
         fmt_duration(mean)

@@ -54,7 +54,7 @@ use crate::resilience::{panic_payload, FaultInjector, FaultKind};
 use crate::slicer::{FactorForm, UpdateFactor};
 use sf_ir::{Graph, OpId, OpKind, ValueId};
 use sf_tensor::ops::{viewed, BinaryOp, ReduceOp, UnaryOp};
-use sf_tensor::{ScratchPool, Shape, Tensor, TensorView, TensorViewMut};
+use sf_tensor::{Dims, ScratchPool, Shape, Tensor, TensorView, TensorViewMut};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -118,7 +118,7 @@ struct OutputSlot {
     cell: UnsafeCell<Tensor>,
     base: *mut f32,
     len: usize,
-    strides: Vec<usize>,
+    strides: Dims,
     written: AtomicUsize,
     #[cfg(debug_assertions)]
     claimed: Vec<AtomicU8>,
@@ -169,11 +169,10 @@ impl OutputSlot {
             .zip(&self.strides)
             .map(|(&(s, _), &st)| s * st)
             .sum();
-        let dims: Vec<usize> = ranges.iter().map(|&(s, t)| t - s).collect();
-        self.written
-            .fetch_add(dims.iter().product(), Ordering::Relaxed);
+        let shape: Shape = ranges.iter().map(|&(s, t)| t - s).collect();
+        self.written.fetch_add(shape.volume(), Ordering::Relaxed);
         #[cfg(debug_assertions)]
-        self.claim(ranges, &dims);
+        self.claim(ranges, shape.dims());
         // SAFETY: `base + offset` addresses within the tensor buffer for
         // any in-bounds region; disjointness across concurrent callers
         // is the race prover's guarantee (checked above in debug).
@@ -181,7 +180,7 @@ impl OutputSlot {
             TensorViewMut::from_raw_parts(
                 self.base.add(offset),
                 self.len - offset,
-                Shape::new(dims),
+                shape,
                 self.strides.clone(),
             )
         }
@@ -311,7 +310,9 @@ impl<'e> Frame<'e> {
 /// grid and the shared output slots.
 struct Run<'a> {
     kp: &'a KernelProgram,
-    env: &'a HashMap<String, Tensor>,
+    /// Full view of every global the stream loads, by `ValueId`,
+    /// resolved once per run: tile loads only slice it.
+    globals: Vec<Option<TensorView<'a>>>,
     outputs: Vec<OutputSlot>,
     blocks: Vec<Restrict>,
     /// Block-scoped loads ahead of the phase-1 loop.
@@ -351,6 +352,14 @@ impl<'a> Run<'a> {
                 )
             }
         };
+        let mut globals = vec![None; g.values().len()];
+        for ins in instrs {
+            if let Instr::LoadBlock { value, .. } | Instr::LoadTile { value, .. } = ins {
+                if globals[value.0].is_none() {
+                    globals[value.0] = Some(global_view(g, env, *value)?);
+                }
+            }
+        }
         let mut uta_deps = vec![false; g.values().len()];
         for ins in phase1.unwrap_or_default() {
             if let Instr::Compute {
@@ -367,7 +376,7 @@ impl<'a> Run<'a> {
         }
         Ok(Run {
             kp,
-            env,
+            globals,
             outputs: g
                 .outputs()
                 .iter()
@@ -678,19 +687,13 @@ impl<'a> Run<'a> {
 
     /// Zero-copy view of global `v`'s tile under `restrict`.
     fn load(&self, v: ValueId, restrict: &Restrict) -> Result<TensorView<'a>> {
-        let value = self.kp.graph.value(v);
-        let full = self
-            .env
-            .get(&value.name)
-            .ok_or_else(|| SfError::Codegen(format!("missing binding '{}'", value.name)))?;
-        let ranges = value_ranges(self.kp, v, restrict)?;
-        if full.shape() != &value.shape {
-            // The binding was materialized upstream of a layout barrier and
-            // carries the producing kernel's layout; view it under this
-            // segment's declared shape before extracting the tile.
-            return Ok(full.view_reshaped(value.shape.clone())?.slice(&ranges)?);
-        }
-        Ok(full.slice(&ranges)?)
+        let full = self.globals[v.0].as_ref().ok_or_else(|| {
+            SfError::Codegen(format!(
+                "'{}' is loaded but was never resolved",
+                self.kp.graph.value(v).name
+            ))
+        })?;
+        Ok(full.slice(&value_ranges(self.kp, v, restrict)?)?)
     }
 
     /// Writes a tile into its disjoint region of the shared output buffer.
@@ -707,18 +710,37 @@ impl<'a> Run<'a> {
             ))
         })?;
         let ranges = value_ranges(self.kp, v, restrict)?;
-        let out_dims: Vec<usize> = ranges.iter().map(|&(s, t)| t - s).collect();
-        if out_dims != tile.shape().dims() {
+        let region = ranges.iter().map(|&(s, t)| t - s);
+        if !region.clone().eq(tile.shape().dims().iter().copied()) {
             return Err(SfError::Codegen(format!(
                 "scatter shape mismatch: tile {:?} vs region {:?}",
                 tile.shape().dims(),
-                out_dims
+                region.collect::<Vec<_>>()
             )));
         }
         slot.region_mut(&ranges)
             .copy_from_dense(tile.data())
             .map_err(Into::into)
     }
+}
+
+/// The full view of global `v`'s binding under its declared shape.
+fn global_view<'e>(
+    graph: &Graph,
+    env: &'e HashMap<String, Tensor>,
+    v: ValueId,
+) -> Result<TensorView<'e>> {
+    let value = graph.value(v);
+    let full = env
+        .get(&value.name)
+        .ok_or_else(|| SfError::Codegen(format!("missing binding '{}'", value.name)))?;
+    if full.shape() != &value.shape {
+        // The binding was materialized upstream of a layout barrier and
+        // carries the producing kernel's layout; view it under this
+        // segment's declared shape.
+        return Ok(full.view_reshaped(value.shape.clone())?);
+    }
+    Ok(full.view())
 }
 
 /// Runs one work item behind a panic-isolation boundary: a panic (a

@@ -33,6 +33,7 @@ use crate::slicer::{merge_op, AggKind, UpdateFactor};
 use crate::smg::DimId;
 use sf_ir::{Graph, OpId, OpKind, ValueId, ValueKind};
 use sf_tensor::ops::{BinaryOp, ReduceOp};
+use sf_tensor::InlineVec;
 
 /// Where an operand access lands in the memory hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,10 +198,14 @@ pub enum Instr {
 }
 
 /// Restriction of one block or tile: `dim -> [start, end)` for every
-/// partitioned dimension.
-pub type Restrict = Vec<(DimId, (usize, usize))>;
+/// partitioned dimension (inline up to four dimensions).
+pub type Restrict = InlineVec<(DimId, (usize, usize)), 4>;
+
+/// Per-axis `[start, end)` ranges of one value (inline up to rank 4).
+pub type Ranges = InlineVec<(usize, usize), 4>;
 
 /// How one axis of a value is accessed under a restriction.
+#[derive(Default)]
 enum AxisAccess<'r, R> {
     /// The whole axis `[0, extent)`.
     Full(usize),
@@ -208,8 +213,19 @@ enum AxisAccess<'r, R> {
     /// of this `restrict` entry.
     Restricted(usize, &'r (DimId, R)),
     /// Broken axis↔dimension alignment metadata.
+    #[default]
     Broken,
 }
+
+// Copy by hand: the derive would demand `R: Copy`, but the payload is
+// only ever borrowed.
+impl<R> Clone for AxisAccess<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for AxisAccess<'_, R> {}
 
 /// The one range fact of the lowering: an axis of `v` follows a
 /// restricted dimension iff it is aligned to that dimension and its
@@ -221,7 +237,7 @@ fn axis_access<'r, R>(
     kp: &KernelProgram,
     v: ValueId,
     restrict: &'r [(DimId, R)],
-) -> Vec<AxisAccess<'r, R>> {
+) -> InlineVec<AxisAccess<'r, R>, 4> {
     let smg = &kp.schedule.smg;
     let dims = kp.graph.shape(v).dims();
     let axes = match smg.value_axes.get(v.0) {
@@ -249,10 +265,10 @@ pub fn value_ranges(
     kp: &KernelProgram,
     v: ValueId,
     restrict: &[(DimId, (usize, usize))],
-) -> Result<Vec<(usize, usize)>> {
+) -> Result<Ranges> {
     axis_access(kp, v, restrict)
-        .into_iter()
-        .map(|a| match a {
+        .iter()
+        .map(|&a| match a {
             AxisAccess::Full(e) => Ok((0, e)),
             AxisAccess::Restricted(e, &(_, (s, t))) => Ok((s.min(e), t.min(e))),
             AxisAccess::Broken => Err(SfError::Codegen(format!(
@@ -271,8 +287,8 @@ pub fn value_ranges(
 pub fn store_region(kp: &KernelProgram, v: ValueId) -> Vec<AxisWrite> {
     let s = &kp.schedule;
     axis_access(kp, v, &s.spatial)
-        .into_iter()
-        .map(|a| match a {
+        .iter()
+        .map(|&a| match a {
             AxisAccess::Full(extent) => AxisWrite::Full { extent },
             AxisAccess::Restricted(extent, &(dim, block)) => AxisWrite::Tiled {
                 dim,

@@ -1,68 +1,226 @@
 //! View-based operator kernels with scratch-buffer reuse.
 //!
-//! These are the same reference semantics as the plain `&Tensor`
-//! operators in this module's siblings — in fact the plain operators
-//! delegate here — but they accept zero-copy [`TensorView`] operands and
-//! draw their output buffers from a [`ScratchPool`], so the kernel
-//! interpreter can evaluate a block tile without cloning inputs or
-//! allocating outputs.
+//! These are the reference semantics of every operator — the plain
+//! `&Tensor` operators in this module's siblings delegate here — over
+//! zero-copy [`TensorView`] operands, with output buffers drawn from a
+//! [`ScratchPool`], so the kernel interpreter evaluates a block tile
+//! without cloning inputs or allocating outputs.
 //!
-//! Floating-point evaluation order is identical to the historical dense
-//! implementations (row-major element order, `i/j/k` GEMM loop nest),
-//! which keeps pooled, viewed, and dense execution bit-identical.
+//! # One walker
 //!
-//! Contiguous operands take stride-1 fast paths: slice-to-slice loops
-//! for element-wise ops, an order-preserving 4-wide unrolled inner loop
-//! for reductions and dot products, and a cache-friendly `i/k/j` loop
-//! for the untransposed GEMM. Every fast path performs the *same*
-//! floating-point operations in the *same* order as the generic strided
-//! path (unrolling only batches loop control, never reassociates), so
-//! which path runs is unobservable in the results — the engine's
-//! bit-identical-at-every-thread-count invariant does not depend on
-//! contiguity being deterministic, though it is.
+//! Every element-wise kernel (`unary`, `binary_scalar`, `binary`,
+//! `broadcast_to`) and the outer loop of `reduce` run on one row walker,
+//! `Walk`. It visits the dense row-major output one *row* (run along
+//! the innermost axis) at a time, stepping the outer axes like an
+//! odometer and carrying each operand's base offset, so no element pays
+//! an index decode. Before walking it drops extent-1 axes and merges
+//! adjacent axes that every operand steps through as one, so a dense
+//! operand pair — or a dense tile of a wider tensor — is a single run.
+//! Each row's inner loop is specialised for operand steps (1, 1), (1, 0)
+//! (right operand broadcast along the row), (0, 1) and general strides,
+//! and the operator is matched once, outside the walk, so every
+//! `UnaryOp`/`BinaryOp` runs its own monomorphised loop.
+//!
+//! # Bit identity
+//!
+//! Which rows exist and in which order the walker visits them is
+//! unobservable in the results: every element-wise output element is
+//! still `op.eval` of exactly the operands the row-major index maps to,
+//! and nothing accumulates across elements. `reduce` keeps its combine
+//! chain along the reduced axis — sequential left to right, 4-wide
+//! unrolled on stride-1 runs — and the three `matmul` loop orders
+//! (row-dot, `i/k/j`, generic `i/j/k`) add in ascending-`k` order from
+//! zero, so no accumulation order depends on layout or path. Pooled,
+//! viewed and dense execution are therefore bit-identical
+//! (`tests/viewed_bitwise.rs` pins every kernel against a naive
+//! per-element reference).
+//!
+//! Shapes and strides are inline up to rank 4 ([`crate::Dims`]), so with
+//! a warm pool a kernel call performs no heap allocation.
 
 use super::{BinaryOp, ReduceOp, UnaryOp};
 use crate::error::{Result, TensorError};
+use crate::inline::InlineVec;
 use crate::scratch::ScratchPool;
-use crate::shape::Shape;
+use crate::shape::{Dims, Shape};
 use crate::tensor::Tensor;
 use crate::view::TensorView;
 
-/// Applies a unary operator element-wise.
-pub fn unary(op: UnaryOp, x: &TensorView, pool: &mut ScratchPool) -> Tensor {
-    let volume = x.volume();
-    let mut out = pool.take(volume);
-    if let Some(src) = x.as_slice() {
-        for (slot, &v) in out.iter_mut().zip(src) {
-            *slot = op.eval(v);
+/// A row-major walk over a dense output, reading two strided operands.
+///
+/// Kernels with one operand pass its strides twice.
+pub(crate) struct Walk {
+    /// Outer axes, outermost first: `[extent, stride_a, stride_b]`.
+    outer: InlineVec<[usize; 3], 4>,
+    /// Elements per row (the innermost, possibly merged, axis).
+    len: usize,
+    /// Each operand's stride along a row.
+    step: [usize; 2],
+    /// Whether some extent is zero (nothing to visit).
+    empty: bool,
+}
+
+impl Walk {
+    /// The walk over output `dims` with operand strides `a` and `b`
+    /// (stride 0 on an axis an operand is broadcast along).
+    pub(crate) fn new(dims: &[usize], a: &[usize], b: &[usize]) -> Walk {
+        let mut outer: InlineVec<[usize; 3], 4> = InlineVec::new();
+        for ((&d, &sa), &sb) in dims.iter().zip(a).zip(b) {
+            if d == 1 {
+                continue;
+            }
+            if let Some(prev) = outer.last_mut() {
+                // The output is dense, so the axes merge when each
+                // operand's outer stride spans exactly the inner axis.
+                if prev[1] == sa * d && prev[2] == sb * d {
+                    *prev = [prev[0] * d, sa, sb];
+                    continue;
+                }
+            }
+            outer.push([d, sa, sb]);
         }
-    } else {
-        let dec = x.shape().strides();
-        let strides = x.strides();
-        let xd = x.data();
-        for (lin, slot) in out.iter_mut().enumerate() {
-            *slot = op.eval(xd[decode(lin, &dec, strides)]);
+        let [len, sa, sb] = outer.pop().unwrap_or([1, 0, 0]);
+        Walk {
+            outer,
+            len,
+            step: [sa, sb],
+            empty: dims.contains(&0),
         }
     }
+
+    /// Elements per row.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Each operand's stride along a row.
+    pub(crate) fn step(&self) -> [usize; 2] {
+        self.step
+    }
+
+    /// Calls `row(start, off_a, off_b)` for every row in row-major
+    /// order: the row covers output elements `start..start + len()`, and
+    /// operand `k`'s element `j` of it sits at `off_k + j * step()[k]`.
+    pub(crate) fn rows(&self, mut row: impl FnMut(usize, usize, usize)) {
+        if self.empty {
+            return;
+        }
+        let n_rows: usize = self.outer.iter().map(|ax| ax[0]).product();
+        let mut idx: Dims = self.outer.iter().map(|_| 0).collect();
+        let (mut oa, mut ob) = (0, 0);
+        for r in 0..n_rows {
+            row(r * self.len, oa, ob);
+            for (ax, i) in self.outer.iter().zip(idx.iter_mut()).rev() {
+                *i += 1;
+                oa += ax[1];
+                ob += ax[2];
+                if *i < ax[0] {
+                    break;
+                }
+                *i = 0;
+                oa -= ax[0] * ax[1];
+                ob -= ax[0] * ax[2];
+            }
+        }
+    }
+}
+
+/// Runs `$body` with `$f` bound to the unary operator's scalar
+/// function, one match arm per operator, so each arm's row loops are
+/// monomorphised for a constant operator.
+macro_rules! per_unary_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        per_unary_op!(@ $op, $f, $body,
+            Exp, Neg, Sqrt, Sqr, Recip, Relu, Gelu, Tanh, Sigmoid, Silu, Log, Abs, Identity)
+    };
+    (@ $op:expr, $f:ident, $body:expr, $($v:ident),*) => {
+        match $op {
+            $(UnaryOp::$v => {
+                let $f = |x: f32| UnaryOp::$v.eval(x);
+                $body
+            })*
+        }
+    };
+}
+
+/// [`per_unary_op`] for binary operators.
+macro_rules! per_binary_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        per_binary_op!(@ $op, $f, $body, Add, Sub, Mul, Div, Max, Min)
+    };
+    (@ $op:expr, $f:ident, $body:expr, $($v:ident),*) => {
+        match $op {
+            $(BinaryOp::$v => {
+                let $f = |x: f32, y: f32| BinaryOp::$v.eval(x, y);
+                $body
+            })*
+        }
+    };
+}
+
+/// `out[i] = f(x[i])` over the walk.
+fn map_rows(f: impl Fn(f32) -> f32, out: &mut [f32], w: &Walk, x: &[f32]) {
+    let n = w.len();
+    match w.step()[0] {
+        1 => w.rows(|o, ox, _| {
+            for (y, &v) in out[o..o + n].iter_mut().zip(&x[ox..ox + n]) {
+                *y = f(v);
+            }
+        }),
+        s => w.rows(|o, ox, _| {
+            for (j, y) in out[o..o + n].iter_mut().enumerate() {
+                *y = f(x[ox + j * s]);
+            }
+        }),
+    }
+}
+
+/// `out[i] = f(a[i], b[i])` over the walk.
+fn zip_rows(f: impl Fn(f32, f32) -> f32, out: &mut [f32], w: &Walk, a: &[f32], b: &[f32]) {
+    let n = w.len();
+    match w.step() {
+        [1, 1] => w.rows(|o, oa, ob| {
+            for ((y, &u), &v) in out[o..o + n]
+                .iter_mut()
+                .zip(&a[oa..oa + n])
+                .zip(&b[ob..ob + n])
+            {
+                *y = f(u, v);
+            }
+        }),
+        [1, 0] => w.rows(|o, oa, ob| {
+            let v = b[ob];
+            for (y, &u) in out[o..o + n].iter_mut().zip(&a[oa..oa + n]) {
+                *y = f(u, v);
+            }
+        }),
+        [0, 1] => w.rows(|o, oa, ob| {
+            let u = a[oa];
+            for (y, &v) in out[o..o + n].iter_mut().zip(&b[ob..ob + n]) {
+                *y = f(u, v);
+            }
+        }),
+        [sa, sb] => w.rows(|o, oa, ob| {
+            for (j, y) in out[o..o + n].iter_mut().enumerate() {
+                *y = f(a[oa + j * sa], b[ob + j * sb]);
+            }
+        }),
+    }
+}
+
+/// Applies a unary operator element-wise.
+pub fn unary(op: UnaryOp, x: &TensorView, pool: &mut ScratchPool) -> Tensor {
+    let mut out = pool.take(x.volume());
+    let w = Walk::new(x.dims(), x.strides(), x.strides());
+    per_unary_op!(op, f => map_rows(f, &mut out, &w, x.data()));
     Tensor::from_data(x.shape().clone(), x.dtype(), out).expect("unary preserves volume")
 }
 
 /// Applies `op(x, scalar)` element-wise.
 pub fn binary_scalar(op: BinaryOp, x: &TensorView, scalar: f32, pool: &mut ScratchPool) -> Tensor {
-    let volume = x.volume();
-    let mut out = pool.take(volume);
-    if let Some(src) = x.as_slice() {
-        for (slot, &v) in out.iter_mut().zip(src) {
-            *slot = op.eval(v, scalar);
-        }
-    } else {
-        let dec = x.shape().strides();
-        let strides = x.strides();
-        let xd = x.data();
-        for (lin, slot) in out.iter_mut().enumerate() {
-            *slot = op.eval(xd[decode(lin, &dec, strides)], scalar);
-        }
-    }
+    let mut out = pool.take(x.volume());
+    let w = Walk::new(x.dims(), x.strides(), x.strides());
+    per_binary_op!(op, f => map_rows(|v| f(v, scalar), &mut out, &w, x.data()));
     Tensor::from_data(x.shape().clone(), x.dtype(), out).expect("binary_scalar preserves volume")
 }
 
@@ -76,41 +234,14 @@ pub fn binary(
     pool: &mut ScratchPool,
 ) -> Result<Tensor> {
     let out_shape = a.shape().broadcast_with(b.shape())?;
-    let rank = out_shape.rank();
-    let volume = out_shape.volume();
-
-    // Fast path: same shape, both contiguous — one zip loop, no index
-    // arithmetic. Element-wise, so per-element order is unchanged.
-    if a.dims() == b.dims() {
-        if let (Some(xs), Some(ys)) = (a.as_slice(), b.as_slice()) {
-            let mut data = pool.take(volume);
-            for ((slot, &x), &y) in data.iter_mut().zip(xs).zip(ys) {
-                *slot = op.eval(x, y);
-            }
-            return Ok(Tensor::from_data(out_shape, a.dtype(), data).expect("volume matches"));
-        }
-    }
-
-    let out_strides = out_shape.strides();
-    let a_strides = masked_strides(a, &out_shape);
-    let b_strides = masked_strides(b, &out_shape);
-
-    let mut data = pool.take(volume);
-    let a_data = a.data();
-    let b_data = b.data();
-    for (lin, slot) in data.iter_mut().enumerate() {
-        let mut a_off = 0;
-        let mut b_off = 0;
-        let mut rem = lin;
-        for d in 0..rank {
-            let idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            a_off += idx * a_strides[d];
-            b_off += idx * b_strides[d];
-        }
-        *slot = op.eval(a_data[a_off], b_data[b_off]);
-    }
-    Ok(Tensor::from_data(out_shape, a.dtype(), data).expect("volume matches"))
+    let mut out = pool.take(out_shape.volume());
+    let w = Walk::new(
+        out_shape.dims(),
+        &masked_strides(a, &out_shape),
+        &masked_strides(b, &out_shape),
+    );
+    per_binary_op!(op, f => zip_rows(f, &mut out, &w, a.data(), b.data()));
+    Ok(Tensor::from_data(out_shape, a.dtype(), out).expect("volume matches"))
 }
 
 /// Reduces along dimension `dim`, keeping it with extent 1.
@@ -121,46 +252,41 @@ pub fn reduce(op: ReduceOp, x: &TensorView, dim: usize, pool: &mut ScratchPool) 
     }
     let extent = x.shape().dim(dim)?;
     let out_shape = x.shape().with_dim(dim, 1)?;
-    let out_volume = out_shape.volume();
-    let out_strides = out_shape.strides();
-    let in_strides = x.strides();
     let xd = x.data();
-
-    let stride1 = in_strides[dim] == 1;
-    let mut out = pool.take(out_volume);
-    for (out_lin, slot) in out.iter_mut().enumerate() {
-        // Decode the output index, then walk the reduced dimension.
-        let mut base = 0usize;
-        let mut rem = out_lin;
-        for d in 0..rank {
-            let idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            base += idx * in_strides[d];
+    let red = x.strides()[dim];
+    let mut out = pool.take(out_shape.volume());
+    // The reduced axis has output extent 1, so the walk runs over the
+    // kept axes only; each output element then folds its input run.
+    let w = Walk::new(out_shape.dims(), x.strides(), x.strides());
+    let (n, step) = (w.len(), w.step()[0]);
+    w.rows(|o, ox, _| {
+        for (j, slot) in out[o..o + n].iter_mut().enumerate() {
+            let base = ox + j * step;
+            let mut acc = op.identity();
+            if red == 1 {
+                // Stride-1 fast path: fold over the contiguous run, 4-wide
+                // unrolled. The combine chain is sequential left-to-right —
+                // identical order to the strided loop below, so the result
+                // is bit-identical.
+                let run = &xd[base..base + extent];
+                let mut chunks = run.chunks_exact(4);
+                for c in &mut chunks {
+                    acc = op.combine(acc, c[0]);
+                    acc = op.combine(acc, c[1]);
+                    acc = op.combine(acc, c[2]);
+                    acc = op.combine(acc, c[3]);
+                }
+                for &v in chunks.remainder() {
+                    acc = op.combine(acc, v);
+                }
+            } else {
+                for r in 0..extent {
+                    acc = op.combine(acc, xd[base + r * red]);
+                }
+            }
+            *slot = op.finalize(acc, extent);
         }
-        let mut acc = op.identity();
-        if stride1 {
-            // Stride-1 fast path: fold over the contiguous run, 4-wide
-            // unrolled. The combine chain is sequential left-to-right —
-            // identical order to the strided loop below, so the result
-            // is bit-identical.
-            let run = &xd[base..base + extent];
-            let mut chunks = run.chunks_exact(4);
-            for c in &mut chunks {
-                acc = op.combine(acc, c[0]);
-                acc = op.combine(acc, c[1]);
-                acc = op.combine(acc, c[2]);
-                acc = op.combine(acc, c[3]);
-            }
-            for &v in chunks.remainder() {
-                acc = op.combine(acc, v);
-            }
-        } else {
-            for r in 0..extent {
-                acc = op.combine(acc, xd[base + r * in_strides[dim]]);
-            }
-        }
-        *slot = op.finalize(acc, extent);
-    }
+    });
     Tensor::from_data(out_shape, x.dtype(), out)
 }
 
@@ -182,23 +308,20 @@ pub fn broadcast_to(
         )));
     }
     let out_shape = x.shape().with_dim(dim, extent)?;
-    let out_strides = out_shape.strides();
-    let in_strides = x.strides();
-    let volume = out_shape.volume();
+    let mut strides: Dims = x.strides().into();
+    strides[dim] = 0;
     let xd = x.data();
-
-    let mut out = pool.take(volume);
-    for (lin, slot) in out.iter_mut().enumerate() {
-        let mut rem = lin;
-        let mut src = 0usize;
-        for d in 0..rank {
-            let idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            if d != dim {
-                src += idx * in_strides[d];
+    let mut out = pool.take(out_shape.volume());
+    let w = Walk::new(out_shape.dims(), &strides, &strides);
+    let n = w.len();
+    match w.step()[0] {
+        1 => w.rows(|o, ox, _| out[o..o + n].copy_from_slice(&xd[ox..ox + n])),
+        0 => w.rows(|o, ox, _| out[o..o + n].fill(xd[ox])),
+        s => w.rows(|o, ox, _| {
+            for (j, y) in out[o..o + n].iter_mut().enumerate() {
+                *y = xd[ox + j * s];
             }
-        }
-        *slot = xd[src];
+        }),
     }
     Tensor::from_data(out_shape, x.dtype(), out)
 }
@@ -295,23 +418,11 @@ pub fn matmul(
             }
         }
     }
-    Tensor::from_data(Shape::new(vec![m, n]), a.dtype(), out)
-}
-
-/// Linear index of a row-major position under view strides.
-fn decode(lin: usize, dec: &[usize], strides: &[usize]) -> usize {
-    let mut rem = lin;
-    let mut off = 0usize;
-    for (&d, &s) in dec.iter().zip(strides) {
-        let i = rem / d.max(1);
-        rem %= d.max(1);
-        off += i * s;
-    }
-    off
+    Tensor::from_data(Shape::from(&[m, n][..]), a.dtype(), out)
 }
 
 /// Strides of `v` viewed in `out` shape: broadcast dims get stride 0.
-fn masked_strides(v: &TensorView, out: &Shape) -> Vec<usize> {
+fn masked_strides(v: &TensorView, out: &Shape) -> Dims {
     v.dims()
         .iter()
         .zip(out.dims().iter())

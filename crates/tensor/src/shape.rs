@@ -1,21 +1,29 @@
 //! Tensor shapes and the small shape algebra used by the compiler.
 
 use crate::error::{Result, TensorError};
+use crate::inline::InlineVec;
 use std::fmt;
 
+/// Per-axis extents or strides: inline up to rank 4, heap-spilled above.
+pub type Dims = InlineVec<usize, 4>;
+
 /// A dense, row-major tensor shape.
+///
+/// The extents are stored inline up to rank 4 ([`Dims`]), so building,
+/// cloning and deriving shapes does not touch the allocator; equality,
+/// hashing and `Debug` are those of the extent slice (`Shape([2, 3])`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(Vec<usize>);
+pub struct Shape(Dims);
 
 impl Shape {
     /// Creates a shape from its dimension extents.
     pub fn new(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape(dims.into())
     }
 
     /// Creates a scalar (rank-0) shape.
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape(Dims::new())
     }
 
     /// Returns the dimension extents.
@@ -42,8 +50,8 @@ impl Shape {
     }
 
     /// Row-major strides (in elements).
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.0.len()];
+    pub fn strides(&self) -> Dims {
+        let mut strides: Dims = self.0.iter().map(|_| 1).collect();
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];
         }
@@ -99,7 +107,7 @@ impl Shape {
                 rhs: other.clone(),
             });
         }
-        let mut dims = Vec::with_capacity(self.rank());
+        let mut dims = Dims::new();
         for (&a, &b) in self.0.iter().zip(other.0.iter()) {
             if a == b || b == 1 {
                 dims.push(a);
@@ -132,13 +140,19 @@ impl fmt::Display for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape::new(dims)
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        Shape(dims.into())
+    }
+}
+
+impl FromIterator<usize> for Shape {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        Shape(iter.into_iter().collect())
     }
 }
 
@@ -152,6 +166,23 @@ mod tests {
         assert_eq!(s.volume(), 24);
         assert_eq!(s.strides(), vec![12, 4, 1]);
         assert_eq!(s.offset(&[1, 2, 3]), 23);
+    }
+
+    #[test]
+    fn debug_and_hash_are_those_of_the_extent_vec() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        for dims in [vec![], vec![7], vec![2, 3, 4], vec![1, 2, 3, 4, 5]] {
+            let s = Shape::new(dims.clone());
+            assert_eq!(format!("{s:?}"), format!("Shape({dims:?})"));
+            assert_eq!(hash(&|h| s.hash(h)), hash(&|h| dims.hash(h)));
+            assert_eq!(s.rank(), dims.len());
+        }
     }
 
     #[test]

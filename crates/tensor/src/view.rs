@@ -15,7 +15,10 @@
 
 use crate::dtype::DType;
 use crate::error::{Result, TensorError};
-use crate::shape::Shape;
+use crate::ops::viewed::{self, Walk};
+use crate::ops::UnaryOp;
+use crate::scratch::ScratchPool;
+use crate::shape::{Dims, Shape};
 use crate::tensor::Tensor;
 
 /// A borrowed, possibly strided, rectangular view of tensor data.
@@ -44,7 +47,7 @@ pub struct TensorView<'a> {
     /// View shape.
     shape: Shape,
     /// Strides into `data` (elements), one per view dimension.
-    strides: Vec<usize>,
+    strides: Dims,
     /// Storage precision (inherited from the parent).
     dtype: DType,
 }
@@ -52,7 +55,7 @@ pub struct TensorView<'a> {
 impl<'a> TensorView<'a> {
     /// Builds a view over a raw slice (crate-internal: callers guarantee
     /// the strides address within `data`).
-    pub(crate) fn new(data: &'a [f32], shape: Shape, strides: Vec<usize>, dtype: DType) -> Self {
+    pub(crate) fn new(data: &'a [f32], shape: Shape, strides: Dims, dtype: DType) -> Self {
         TensorView {
             data,
             shape,
@@ -141,7 +144,7 @@ impl<'a> TensorView<'a> {
             )));
         }
         let mut offset = 0usize;
-        let mut dims = Vec::with_capacity(ranges.len());
+        let mut dims = Dims::new();
         for ((&(s, t), &e), &stride) in ranges
             .iter()
             .zip(self.shape.dims().iter())
@@ -158,34 +161,16 @@ impl<'a> TensorView<'a> {
         let offset = offset.min(self.data.len());
         Ok(TensorView {
             data: &self.data[offset..],
-            shape: Shape::new(dims),
+            shape: dims.iter().copied().collect(),
             strides: self.strides.clone(),
             dtype: self.dtype,
         })
     }
 
-    /// Materializes the view into an owned dense tensor.
+    /// Materializes the view into an owned dense tensor (one fresh
+    /// buffer, counted by [`crate::alloc_stats`]).
     pub fn to_tensor(&self) -> Tensor {
-        if let Some(s) = self.as_slice() {
-            crate::alloc_stats::record_alloc();
-            return Tensor::from_data(self.shape.clone(), self.dtype, s.to_vec())
-                .expect("contiguous view volume matches");
-        }
-        let volume = self.volume();
-        let dec = self.shape.strides();
-        crate::alloc_stats::record_alloc();
-        let mut out = Vec::with_capacity(volume);
-        for lin in 0..volume {
-            let mut rem = lin;
-            let mut off = 0usize;
-            for (&d, &s) in dec.iter().zip(&self.strides) {
-                let i = rem / d.max(1);
-                rem %= d.max(1);
-                off += i * s;
-            }
-            out.push(self.data[off]);
-        }
-        Tensor::from_data(self.shape.clone(), self.dtype, out).expect("view volume matches")
+        viewed::unary(UnaryOp::Identity, self, &mut ScratchPool::disabled())
     }
 }
 
@@ -215,7 +200,7 @@ pub struct TensorViewMut<'a> {
     /// View shape.
     shape: Shape,
     /// Strides into `data` (elements), one per view dimension.
-    strides: Vec<usize>,
+    strides: Dims,
     _owner: std::marker::PhantomData<&'a mut [f32]>,
 }
 
@@ -235,12 +220,7 @@ impl<'a> TensorViewMut<'a> {
     ///   `len`.
     /// * No other live reference or view may alias any element this view
     ///   addresses (disjoint regions of one buffer are fine).
-    pub unsafe fn from_raw_parts(
-        data: *mut f32,
-        len: usize,
-        shape: Shape,
-        strides: Vec<usize>,
-    ) -> Self {
+    pub unsafe fn from_raw_parts(data: *mut f32, len: usize, shape: Shape, strides: Dims) -> Self {
         TensorViewMut {
             data,
             len,
@@ -268,11 +248,12 @@ impl<'a> TensorViewMut<'a> {
     /// Copies a dense row-major buffer (`src.len() == volume`) into the
     /// strided destination region.
     ///
-    /// The destination decomposes into contiguous runs — the maximal
-    /// dense suffix of the view's axes — which are copied
-    /// slice-to-slice; this is the executor's output scatter.
+    /// The copy walks the region with the element-wise kernels' row
+    /// walker (`viewed::Walk`), which merges the region's dense axes, so a
+    /// dense region is one slice-to-slice copy and a tile of a wider
+    /// output is one copy per contiguous run; this is the executor's
+    /// output scatter.
     pub fn copy_from_dense(&mut self, src: &[f32]) -> Result<()> {
-        let dims = self.shape.dims().to_vec();
         let volume = self.volume();
         if src.len() != volume {
             return Err(TensorError::InvalidShape(format!(
@@ -280,46 +261,30 @@ impl<'a> TensorViewMut<'a> {
                 src.len()
             )));
         }
-        if volume == 0 {
-            return Ok(());
-        }
-        // Maximal suffix of axes over which the destination is dense:
-        // stride equals the product of the region extents below it.
-        let mut run = 1usize;
-        let mut split = dims.len();
-        while split > 0 {
-            let ax = split - 1;
-            if dims[ax] != 1 && self.strides[ax] != run {
-                break;
+        let w = Walk::new(self.shape.dims(), &self.strides, &self.strides);
+        let (n, step) = (w.len(), w.step()[0]);
+        w.rows(|o, off, _| {
+            debug_assert!(
+                off + (n - 1) * step < self.len,
+                "run escapes the view's storage"
+            );
+            if step == 1 {
+                // SAFETY: offsets produced by the view's strides address
+                // within `len` (constructor contract), and `src` cannot
+                // overlap the exclusively-held destination.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(src.as_ptr().add(o), self.data.add(off), n);
+                }
+            } else {
+                for (j, &v) in src[o..o + n].iter().enumerate() {
+                    // SAFETY: `off + j * step` is an offset the view's
+                    // strides produce, so it lies within `len`
+                    // (constructor contract), and `src` cannot overlap
+                    // the exclusively-held destination.
+                    unsafe { *self.data.add(off + j * step) = v };
+                }
             }
-            run *= dims[ax];
-            split -= 1;
-        }
-        let n_outer: usize = dims[..split].iter().product();
-        let mut idx = vec![0usize; split];
-        for block in 0..n_outer {
-            let mut rem = block;
-            for (i, &d) in dims[..split].iter().enumerate().rev() {
-                idx[i] = rem % d;
-                rem /= d;
-            }
-            let off: usize = idx
-                .iter()
-                .zip(&self.strides[..split])
-                .map(|(&i, &s)| i * s)
-                .sum();
-            debug_assert!(off + run <= self.len, "run escapes the view's storage");
-            // SAFETY: offsets produced by the view's strides address
-            // within `len` (constructor contract), and `src` cannot
-            // overlap the exclusively-held destination.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr().add(block * run),
-                    self.data.add(off),
-                    run,
-                );
-            }
-        }
+        });
         Ok(())
     }
 }

@@ -16,6 +16,11 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test -q --release -p sf-tensor"
+# The tensor kernels' row loops are vectorised only by the optimiser,
+# so their bit-identity and allocation pins also run on release code.
+cargo test -q --release -p sf-tensor
+
 echo "==> cargo test -q --release --manifest-path perfbench/Cargo.toml"
 # perfbench is its own workspace (path deps on crates/*), so the
 # workspace build above never compiles it; this keeps the benchmark
